@@ -12,7 +12,7 @@
 // The API is served under /v1 only — the historical unversioned routes
 // answer 404 with a Link header to their successor.
 //
-//	sbstd -addr :8321 -checkpoint campaigns.json
+//	sbstd -addr :8321 -journal campaigns.wal
 //
 //	curl -X POST localhost:8321/v1/jobs \
 //	     -d '{"kind":"fault_sim","vectors":{"kind":"bist","count":20000}}'
@@ -39,21 +39,27 @@
 //	sbstd -list -kind ga_search -coordinator http://localhost:8321
 //	sbstd -evolve -ga-population 12 -ga-generations 6 -coordinator http://localhost:8321
 //
+// -journal names the coordinator's one durable state file: a
+// write-ahead journal of every job transition that compacts itself into
+// a snapshot frame as it grows, keeping the previous generation beside
+// it as <file>.prev. A restart with the same -journal resumes the
+// campaign, even after kill -9. Files written by the -checkpoint flag of
+// earlier versions are not imported, and a journal those versions
+// truncated at a checkpoint is refused: start on a fresh -journal path.
+//
 // SIGTERM/SIGINT drains gracefully: submissions get 503, running jobs
 // finish (until -drain-timeout, after which they stop at the next
-// segment boundary and return to the queue), and the final checkpoint
-// captures every job so a restart with the same -checkpoint resumes the
-// campaign. The NDJSON trace buffer is flushed the moment the drain
-// begins, so a process killed mid-drain has persisted its tail events.
+// segment boundary and return to the queue), and the journal is
+// compacted into a final snapshot that captures every job. The NDJSON
+// trace buffer is flushed the moment the drain begins, so a process
+// killed mid-drain has persisted its tail events.
 package main
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"net/http"
 	"os"
 	"os/signal"
@@ -72,8 +78,7 @@ func main() {
 	queueWorkers := flag.Int("queue-workers", 2, "concurrent job executors")
 	maxPending := flag.Int("max-pending", 64, "bounded pending-job buffer")
 	maxAttempts := flag.Int("max-attempts", 2, "attempts per job before a retryable failure fails it")
-	checkpoint := flag.String("checkpoint", "", "JSON state file for checkpoint/resume")
-	journalPath := flag.String("journal", "", "write-ahead job journal replayed on top of -checkpoint; makes submits and results survive kill -9")
+	journalPath := flag.String("journal", "", "durable job journal, compacted in place (previous generation kept as <file>.prev); a restart on the same file resumes the campaign, even after kill -9")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "forced-stop deadline after SIGTERM")
 	jobTimeout := flag.Duration("job-timeout", 0, "per-job wall-time bound (0 = none; spec deadline_sec can tighten)")
 	stuckTimeout := flag.Duration("stuck-timeout", 10*time.Minute, "cancel+retry a job publishing no progress for this long (0 = off)")
@@ -135,9 +140,11 @@ func main() {
 	}
 	exec := engine.NewExecutor(execCfg)
 
-	// The write-ahead journal opens first: its replayed records stack on
-	// top of the checkpoint in Recover, and a torn tail from a previous
-	// kill -9 is truncated here, not treated as fatal.
+	// The journal opens first: a torn tail from a previous kill -9 is
+	// truncated here, not treated as fatal, and a corrupt compaction is
+	// salvaged from the previous generation. With neither generation
+	// loadable the coordinator refuses to start and leaves both files
+	// for post-mortem.
 	var journal *engine.Journal
 	var journalRecs []engine.JournalRecord
 	if *journalPath != "" {
@@ -169,7 +176,6 @@ func main() {
 		MaxPending:   *maxPending,
 		MaxAttempts:  *maxAttempts,
 		Exec:         exec,
-		Checkpoint:   *checkpoint,
 		Sink:         rt.Sink(),
 		JobTimeout:   *jobTimeout,
 		StuckTimeout: *stuckTimeout,
@@ -177,36 +183,19 @@ func main() {
 		Events:       events,
 		Journal:      journal,
 	})
-	if *checkpoint != "" || journal != nil {
-		switch err := q.Recover(*checkpoint, journalRecs); {
-		case err == nil:
+	if journal != nil {
+		if err := q.Recover(journalRecs); err != nil {
+			fail(rt, err)
+		}
+		if len(journalRecs) > 0 {
 			resumed := 0
 			for _, j := range q.Jobs() {
 				if j.State == engine.JobQueued {
 					resumed++
 				}
 			}
-			if len(q.Jobs()) > 0 || len(journalRecs) > 0 {
-				src := *checkpoint
-				switch {
-				case src == "":
-					src = *journalPath
-				case *journalPath != "":
-					src += " + " + *journalPath
-				}
-				fmt.Fprintf(os.Stderr, "sbstd: recovered %d jobs (%d resumable, %d journal records) from %s\n",
-					len(q.Jobs()), resumed, len(journalRecs), src)
-			}
-		case errors.Is(err, fs.ErrNotExist):
-			// Fresh campaign; the file appears at the first checkpoint.
-		case errors.Is(err, engine.ErrCheckpointCorrupt):
-			// Neither generation was loadable. Starting an empty campaign
-			// is the graceful option — the corrupt files stay on disk for
-			// post-mortem until the next successful checkpoint rotates
-			// them out.
-			fmt.Fprintf(os.Stderr, "sbstd: warning: %v; starting fresh\n", err)
-		default:
-			fail(rt, err)
+			fmt.Fprintf(os.Stderr, "sbstd: recovered %d jobs (%d resumable, %d journal records) from %s\n",
+				len(q.Jobs()), resumed, len(journalRecs), *journalPath)
 		}
 	}
 	q.Start()

@@ -55,7 +55,7 @@ var ErrUnknownDesign = errors.New("api: unknown design")
 // sub-spec (matrix, online, ga) that does not belong to its kind, or
 // missing the one its kind requires. The server maps it to 422 with
 // code spec_mismatch. The same Validate call enforces it at submission,
-// journal replay and checkpoint load, so a mismatched spec can never
+// journal replay and snapshot recovery, so a mismatched spec can never
 // reach an executor by any path.
 var ErrSpecMismatch = errors.New("api: spec does not match job kind")
 
@@ -381,7 +381,7 @@ type GaResult struct {
 //
 // This is the one shared validator: the server calls it at submission,
 // and the engine calls it again when replaying journaled submits and
-// when adopting checkpointed jobs, so no path smuggles a mismatched
+// when adopting snapshotted jobs, so no path smuggles a mismatched
 // spec past it.
 func (s *JobSpec) Validate() error {
 	if !s.Kind.Valid() {
@@ -538,7 +538,7 @@ type JobState string
 
 // Lifecycle: queued → running → completed | failed. A forced drain or a
 // recoverable worker panic moves a running job back to queued so a
-// checkpoint restore re-runs it. The full lifecycle, including how each
+// journal recovery re-runs it. The full lifecycle, including how each
 // state answers GET /v1/jobs/{id}/result, is documented in docs/API.md.
 const (
 	JobQueued    JobState = "queued"
@@ -587,13 +587,13 @@ type JobResult struct {
 	Seconds float64 `json:"seconds,omitempty"`
 }
 
-// DistState is the distribution snapshot of a coordinator job, recorded
-// in checkpoints (schema v3) so a post-mortem can see how far the fleet
-// had carried a campaign: how many work units the fault list was split
-// into, which were already merged, and each unit's spent attempt count.
-// Unit results themselves are not persisted — a restored job re-plans
-// its units and the fleet re-runs them (deterministically, so the
-// re-run merges to the identical result).
+// DistState is the distribution snapshot of a running coordinator job,
+// served over HTTP so an operator can see how far the fleet has carried
+// a campaign: how many work units the fault list was split into, which
+// were already merged, and each unit's spent attempt count. It is not
+// persisted — a recovered job re-plans its units and the fleet re-runs
+// them (deterministically, so the re-run merges to the identical
+// result).
 type DistState struct {
 	Units     int   `json:"units"`
 	Completed []int `json:"completed,omitempty"`
@@ -612,8 +612,8 @@ type Job struct {
 	Finished *time.Time `json:"finished,omitempty"`
 	Progress Progress   `json:"progress"`
 	Result   *JobResult `json:"result,omitempty"`
-	// Dist is the distribution snapshot for coordinator jobs
-	// (checkpoint v3); nil for locally executed jobs.
+	// Dist is the distribution snapshot for running coordinator jobs;
+	// nil for locally executed jobs.
 	Dist *DistState `json:"dist,omitempty"`
 }
 

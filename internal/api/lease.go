@@ -26,8 +26,8 @@ import (
 
 // LeaseRequest asks the coordinator for one work unit.
 type LeaseRequest struct {
-	// WorkerID identifies the requesting worker in logs, lease records
-	// and checkpoints. Required.
+	// WorkerID identifies the requesting worker in logs and lease
+	// records. Required.
 	WorkerID string `json:"worker_id"`
 }
 

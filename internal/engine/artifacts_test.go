@@ -78,10 +78,7 @@ func TestArtifactRepeatSubmissionSkipsWork(t *testing.T) {
 // untouched — no lease, no shared trace — so direct Simulate callers
 // (benchmarks, tests) keep the cold path they always had.
 func TestArtifactsOffByDefault(t *testing.T) {
-	core, faults, err := SharedCore()
-	if err != nil {
-		t.Fatal(err)
-	}
+	core, faults := testCore(t)
 	vecs := bist.PseudorandomVectors(64, 1)
 	store := artifacts.NewStore(0)
 	res, err := Simulate(core.Netlist, vecs, SimOptions{

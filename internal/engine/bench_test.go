@@ -23,10 +23,7 @@ import (
 const benchVectors = 8192
 
 func benchSimulate(b *testing.B, workers int, kernel fault.Kernel) {
-	core, faults, err := SharedCore()
-	if err != nil {
-		b.Fatal(err)
-	}
+	core, faults := testCore(b)
 	vecs := bist.PseudorandomVectors(benchVectors, 1)
 	evals := obs.Default().Counter("faultsim.gate_evals")
 	evals0 := evals.Load()
@@ -64,10 +61,7 @@ func BenchmarkSimulateSerial(b *testing.B) { benchSimulate(b, 1, fault.KernelCom
 // must be bit-identical at every width — the sub-benchmarks fail on any
 // divergence from width 1, which is what CI's -race smoke asserts.
 func BenchmarkSimulateLanes(b *testing.B) {
-	core, faults, err := SharedCore()
-	if err != nil {
-		b.Fatal(err)
-	}
+	core, faults := testCore(b)
 	vecs := bist.PseudorandomVectors(benchVectors, 1)
 	evals := obs.Default().Counter("faultsim.gate_evals")
 	var covFirst float64

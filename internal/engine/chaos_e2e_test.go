@@ -27,8 +27,8 @@ import (
 //   - 50 corrupted compiled-kernel batch words (logic.eventsim.diff) →
 //     the full-sample shadow check detects the divergence and falls
 //     back to the reference kernel,
-//   - a torn checkpoint write (engine.checkpoint.write shortwrite on
-//     the drain-time checkpoint) → Restore salvages the previous
+//   - a torn journal compaction (engine.checkpoint.write shortwrite on
+//     the drain-time compaction) → OpenJournal salvages the previous
 //     generation.
 //
 // Despite all of it the campaign completes with DetectedAt and
@@ -101,13 +101,14 @@ func TestChaosCampaignEndToEnd(t *testing.T) {
 		}, nil
 	}
 
-	ckpt := filepath.Join(t.TempDir(), "ckpt.json")
+	jpath := filepath.Join(t.TempDir(), "journal.wal")
+	journal, _ := openJournal(t, jpath)
 	q := NewQueue(QueueOptions{
 		Workers:      1,
 		MaxAttempts:  4,
 		RetryBase:    2 * time.Millisecond,
 		StuckTimeout: time.Second,
-		Checkpoint:   ckpt,
+		Journal:      journal,
 		Exec:         exec,
 	})
 	q.Start()
@@ -116,7 +117,16 @@ func TestChaosCampaignEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := waitState(t, q, job.ID, JobCompleted)
+	// A small journal is only compacted on drain: compact once by hand
+	// so the torn drain-time compaction has a clean generation to fall
+	// back on.
+	if err := q.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
 	if err := q.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := journal.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -154,11 +164,12 @@ func TestChaosCampaignEndToEnd(t *testing.T) {
 		t.Error("queue.watchdog_trips never advanced: stall was not detected")
 	}
 
-	// The drain-time checkpoint was torn; restoring salvages the clean
+	// The drain-time compaction was torn; recovery salvages the clean
 	// previous generation and the completed result survives.
+	_, recs := openJournal(t, jpath)
 	q2 := NewQueue(QueueOptions{Exec: exec})
-	if err := q2.Restore(ckpt); err != nil {
-		t.Fatalf("restore after torn final checkpoint: %v", err)
+	if err := q2.Recover(recs); err != nil {
+		t.Fatalf("recover after torn final compaction: %v", err)
 	}
 	if d := delta("queue.checkpoint_salvaged"); d != 1 {
 		t.Errorf("queue.checkpoint_salvaged advanced by %d, want 1", d)

@@ -12,16 +12,29 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
+// openJournal opens a journal that the test's cleanup closes.
+func openJournal(t *testing.T, path string) (*Journal, []JournalRecord) {
+	t.Helper()
+	j, recs, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { j.Close() })
+	return j, recs
+}
+
 // fixedQueue builds the deterministic queue state behind the golden
 // file: a completed, a failed, a still-queued and a panic-requeued job
 // (attempts already spent, sitting out its retry backoff) with pinned
 // timestamps.
-func fixedQueue(t *testing.T, checkpointPath string) *Queue {
+func fixedQueue(t *testing.T, journalPath string) *Queue {
 	t.Helper()
 	clock := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
+	j, _ := openJournal(t, journalPath)
 	q := NewQueue(QueueOptions{
-		Checkpoint: checkpointPath,
-		now:        func() time.Time { return clock },
+		Journal: j,
+		now:     func() time.Time { return clock },
+		traceID: func() string { return "" },
 		Exec: func(ctx context.Context, spec JobSpec, update func(Progress)) (*JobResult, error) {
 			return &JobResult{}, nil
 		},
@@ -52,7 +65,7 @@ func fixedQueue(t *testing.T, checkpointPath string) *Queue {
 	j2.Started, j2.Finished = &started, &finished
 	j2.Error = "engine: job panic: simulated"
 	// A job that panicked once and went back to queued: Attempts must
-	// survive the checkpoint round trip so a restore keeps charging the
+	// survive the snapshot round trip so a recovery keeps charging the
 	// same retry budget.
 	j4 := q.jobs[retrying.ID]
 	j4.Attempts = 1
@@ -61,18 +74,20 @@ func fixedQueue(t *testing.T, checkpointPath string) *Queue {
 	return q
 }
 
-// TestCheckpointGoldenRoundTrip pins the on-disk schema: the golden
-// file restores into a queue whose own checkpoint is byte-identical.
+// TestCheckpointGoldenRoundTrip pins the snapshot frame's on-disk
+// schema: a journal holding just the golden frame recovers into a
+// queue whose own compaction writes it back byte for byte.
 func TestCheckpointGoldenRoundTrip(t *testing.T) {
-	golden := filepath.Join("testdata", "checkpoint.golden.json")
-	tmp := filepath.Join(t.TempDir(), "ckpt.json")
+	golden := filepath.Join("testdata", "snapshot.golden.wal")
+	dir := t.TempDir()
 
 	if *update {
-		q := fixedQueue(t, tmp)
+		path := filepath.Join(dir, "gen.wal")
+		q := fixedQueue(t, path)
 		if err := q.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		data, err := os.ReadFile(tmp)
+		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,35 +100,43 @@ func TestCheckpointGoldenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (run with -update to create)", err)
 	}
-	q := NewQueue(QueueOptions{Checkpoint: tmp,
+	path := filepath.Join(dir, "journal.wal")
+	if err := os.WriteFile(path, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, recs := openJournal(t, path)
+	if len(recs) != 1 || recs[0].T != recSnapshot {
+		t.Fatalf("golden journal replayed %+v, want one snapshot record", recs)
+	}
+	q := NewQueue(QueueOptions{Journal: j,
 		Exec: func(ctx context.Context, spec JobSpec, update func(Progress)) (*JobResult, error) {
 			return &JobResult{}, nil
 		}})
-	if err := q.Restore(golden); err != nil {
+	if err := q.Recover(recs); err != nil {
 		t.Fatal(err)
 	}
 	// Satellite guarantee: a requeued job's spent attempts survive the
 	// round trip, so retry budgets keep charging across restarts.
 	if j, ok := q.Get("job-0004"); !ok || j.Attempts != 1 || j.State != JobQueued || j.Spec.DeadlineSec != 30 {
-		t.Fatalf("requeued job did not survive restore intact: %+v", j)
+		t.Fatalf("requeued job did not survive recovery intact: %+v", j)
 	}
 	if err := q.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile(tmp)
+	got, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("checkpoint round trip drifted from golden:\ngot:\n%s\nwant:\n%s", got, want)
+		t.Errorf("snapshot round trip drifted from golden:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
 
 // TestCheckpointResume is the restart story: drain a queue with work
-// still pending, restore the checkpoint into a fresh queue, and watch
-// the pending job run to completion while finished results survive.
+// still pending, recover the journal into a fresh queue, and watch the
+// pending job run to completion while finished results survive.
 func TestCheckpointResume(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt.json")
+	path := filepath.Join(t.TempDir(), "journal.wal")
 	release := make(chan struct{})
 	exec := func(ctx context.Context, spec JobSpec, update func(Progress)) (*JobResult, error) {
 		if spec.Vectors.Count == 200 {
@@ -129,7 +152,8 @@ func TestCheckpointResume(t *testing.T) {
 		return &JobResult{Coverage: 0.5, Cycles: spec.Vectors.Count}, nil
 	}
 
-	q1 := NewQueue(QueueOptions{Workers: 1, Checkpoint: path, Exec: exec})
+	j1, _ := openJournal(t, path)
+	q1 := NewQueue(QueueOptions{Workers: 1, Journal: j1, Exec: exec})
 	q1.Start()
 	first, _ := q1.Submit(specN(100))
 	waitState(t, q1, first.ID, JobCompleted)
@@ -145,8 +169,12 @@ func TestCheckpointResume(t *testing.T) {
 	}
 
 	close(release)
-	q2 := NewQueue(QueueOptions{Workers: 1, Checkpoint: path, Exec: exec})
-	if err := q2.Restore(path); err != nil {
+	if err := j1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j2, recs := openJournal(t, path)
+	q2 := NewQueue(QueueOptions{Workers: 1, Journal: j2, Exec: exec})
+	if err := q2.Recover(recs); err != nil {
 		t.Fatal(err)
 	}
 	if j, ok := q2.Get(first.ID); !ok || j.State != JobCompleted || j.Result == nil || j.Result.Cycles != 100 {
@@ -164,10 +192,10 @@ func TestCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	if third.ID != "job-0003" {
-		t.Fatalf("post-restore ID %s, want job-0003", third.ID)
+		t.Fatalf("post-recovery ID %s, want job-0003", third.ID)
 	}
 	waitState(t, q2, third.ID, JobCompleted)
-	// Settle the pool before t.TempDir cleanup races its checkpoints.
+	// Settle the pool before t.TempDir cleanup races its compactions.
 	if err := q2.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ type DistOptions struct {
 
 // jobIDKey carries the queue's job ID through the executor context, so
 // a distributed executor can register lease-pool work under the same ID
-// the HTTP surface and the checkpoint use.
+// the HTTP surface and the journal use.
 type jobIDKey struct{}
 
 func withJobID(ctx context.Context, id string) context.Context {
@@ -78,179 +78,74 @@ func TraceIDFromContext(ctx context.Context) string {
 	return id
 }
 
-var distAnonID atomic.Int64
+var anonCampaignID atomic.Int64
 
-// NewDistExecutor returns the coordinator Executor: fault_sim and
-// n_detect campaigns (and both halves of an experiment) are split into
-// work units on the lease pool and executed by the worker fleet;
-// seq_atpg falls through to the local executor.
+// campaignID resolves the ID a job's campaigns register under: the
+// queue's job ID when running under a queue, a fresh synthetic ID
+// otherwise.
+func campaignID(ctx context.Context) string {
+	if id := JobIDFromContext(ctx); id != "" {
+		return id
+	}
+	return fmt.Sprintf("dist-%04d", anonCampaignID.Add(1))
+}
+
+// NewDistExecutor returns the coordinator Executor: every fault-sim
+// campaign — a fault_sim or n_detect job, both halves of an experiment,
+// each matrix cell, each GA individual — is split into work units on
+// the lease pool and executed by the worker fleet; seq_atpg and
+// online_burst run on the coordinator.
 func NewDistExecutor(cfg ExecConfig, pool *LeasePool, opts DistOptions) Executor {
 	if opts.Units <= 0 {
 		opts.Units = 8
 	}
-	local := NewExecutor(cfg)
-	return func(ctx context.Context, spec JobSpec, update func(Progress)) (*JobResult, error) {
-		switch spec.Kind {
-		case JobFaultSim, JobNDetect:
-			return runDistFaultSim(ctx, pool, cfg, opts, distJobID(ctx), spec, update)
-		case JobExperiment:
-			return runDistExperiment(ctx, pool, cfg, opts, distJobID(ctx), spec, update)
-		case JobCampaignMatrix:
-			return runDistMatrix(ctx, pool, cfg, opts, distJobID(ctx), spec, update)
-		case JobGaSearch:
-			return runDistGaSearch(ctx, pool, cfg, opts, distJobID(ctx), spec, update)
-		default:
-			return local(ctx, spec, update)
+	return newExecutor(cfg, distSim(pool, cfg, opts), true)
+}
+
+// distSim registers one campaign's units on the pool, waits for the
+// fleet to merge them, and hands the merged result to opts.OnMerged.
+func distSim(pool *LeasePool, cfg ExecConfig, opts DistOptions) campaignSim {
+	return func(ctx context.Context, id string, d *designs.Design, spec JobSpec, update func(Progress)) (*fault.Result, error) {
+		faults := d.Faults
+		span := obs.NewSpan(obs.WithTrace(cfg.Sink, spec.TraceID), "engine.dist")
+		span.Add("units", int64(opts.Units))
+		span.Add("faults", int64(len(faults)))
+		defer span.End()
+
+		h, err := pool.Register(id, spec, len(faults), opts.Units,
+			opts.ShadowSample, opts.ShadowSeed, update)
+		if err != nil {
+			return nil, err
 		}
-	}
-}
-
-// distJobID resolves the pool registration ID: the queue's job ID when
-// running under a queue, a fresh synthetic ID otherwise.
-func distJobID(ctx context.Context) string {
-	if id := JobIDFromContext(ctx); id != "" {
-		return id
-	}
-	return fmt.Sprintf("dist-%04d", distAnonID.Add(1))
-}
-
-// runDistFaultSim distributes one fault-simulation campaign and
-// summarizes the merged bitmaps exactly like the local runFaultSim.
-func runDistFaultSim(ctx context.Context, pool *LeasePool, cfg ExecConfig, opts DistOptions,
-	jobID string, spec JobSpec, update func(Progress)) (*JobResult, error) {
-
-	merge, faults, err := distSimulate(ctx, pool, cfg, opts, jobID, spec, update)
-	if err != nil {
-		return nil, err
-	}
-	res := &fault.Result{
-		Faults:     faults,
-		DetectedAt: merge.DetectedAt,
-		Detections: merge.Detections,
-		Cycles:     merge.Cycles,
-	}
-	if opts.OnMerged != nil {
-		opts.OnMerged(jobID, res)
-	}
-	jr := &JobResult{
-		Faults:   len(res.Faults),
-		Detected: res.Detected(),
-		Cycles:   res.Cycles,
-		Coverage: res.Coverage(),
-	}
-	if ndet := specNDetect(spec); ndet > 1 {
-		jr.NDetect = ndet
-		jr.NDetectCoverage = res.NDetectCoverage(ndet)
-	}
-	return jr, nil
-}
-
-// distSimulate registers the campaign's units and waits for the fleet.
-func distSimulate(ctx context.Context, pool *LeasePool, cfg ExecConfig, opts DistOptions,
-	jobID string, spec JobSpec, update func(Progress)) (*UnitMerge, []fault.Fault, error) {
-
-	d, err := GetDesign(spec.Design)
-	if err != nil {
-		return nil, nil, err
-	}
-	faults := d.Faults
-	span := obs.NewSpan(obs.WithTrace(cfg.Sink, spec.TraceID), "engine.dist")
-	span.Add("units", int64(opts.Units))
-	span.Add("faults", int64(len(faults)))
-	defer span.End()
-
-	h, err := pool.Register(jobID, spec, len(faults), opts.Units,
-		opts.ShadowSample, opts.ShadowSeed, update)
-	if err != nil {
-		return nil, nil, err
-	}
-	merge, err := h.Wait(ctx)
-	if err != nil {
-		switch {
-		case ctx.Err() != nil:
-			return nil, nil, fmt.Errorf("%w: distributed campaign cancelled", ErrInterrupted)
-		case api.IsRetryable(err):
-			// Pool shutdown or withdrawal: the environment, not the spec,
-			// failed — the queue may retry within the job's budget.
-			return nil, nil, fmt.Errorf("%w: %v", ErrTransient, err)
-		default:
-			return nil, nil, err
+		merge, err := h.Wait(ctx)
+		if err != nil {
+			switch {
+			case ctx.Err() != nil:
+				return nil, fmt.Errorf("%w: distributed campaign cancelled", ErrInterrupted)
+			case api.IsRetryable(err):
+				// Pool shutdown or withdrawal: the environment, not the
+				// spec, failed — the queue may retry within the job's
+				// budget.
+				return nil, fmt.Errorf("%w: %v", ErrTransient, err)
+			default:
+				return nil, err
+			}
 		}
+		span.Event(obs.EventSummary, map[string]any{
+			"cycles": merge.Cycles,
+			"faults": len(faults),
+		})
+		res := &fault.Result{
+			Faults:     faults,
+			DetectedAt: merge.DetectedAt,
+			Detections: merge.Detections,
+			Cycles:     merge.Cycles,
+		}
+		if opts.OnMerged != nil {
+			opts.OnMerged(id, res)
+		}
+		return res, nil
 	}
-	span.Event(obs.EventSummary, map[string]any{
-		"cycles": merge.Cycles,
-		"faults": len(faults),
-	})
-	return merge, faults, nil
-}
-
-// runDistExperiment distributes the paper's composite comparison: the
-// requested stimulus first, then a raw-LFSR BIST baseline of the same
-// length. The baseline's vector count comes from the first phase's
-// merged cycle count, so the coordinator never needs to expand
-// program/selftest stimuli itself.
-func runDistExperiment(ctx context.Context, pool *LeasePool, cfg ExecConfig, opts DistOptions,
-	jobID string, spec JobSpec, update func(Progress)) (*JobResult, error) {
-
-	sub := spec
-	sub.Kind = JobFaultSim
-	main, err := runDistFaultSim(ctx, pool, cfg, opts, jobID, sub, update)
-	if err != nil {
-		return nil, err
-	}
-	seed := spec.Vectors.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	base := sub
-	base.Vectors = VectorSource{Kind: api.VecBIST, Count: main.Cycles, Seed: seed}
-	baseline, err := runDistFaultSim(ctx, pool, cfg, opts, jobID, base, update)
-	if err != nil {
-		return nil, err
-	}
-	return &JobResult{
-		Faults:   main.Faults,
-		Detected: main.Detected,
-		Cycles:   main.Cycles,
-		Coverage: main.Coverage,
-		Sub: map[string]*JobResult{
-			"stimulus":      main,
-			"bist_baseline": baseline,
-		},
-	}, nil
-}
-
-// runDistMatrix fans a campaign_matrix job over the fleet: each cell
-// becomes its own lease-pool registration under a derived job ID
-// ("<job>/<design>+s<scheme>"), run sequentially — the fleet-level
-// parallelism is inside each cell's work units, and sequential cells
-// keep every worker's design cache hot on one design at a time.
-// OnMerged fires per cell with the derived ID, which is how the e2e
-// tests pin each cell's bitmaps against a serial oracle.
-func runDistMatrix(ctx context.Context, pool *LeasePool, cfg ExecConfig, opts DistOptions,
-	jobID string, spec JobSpec, update func(Progress)) (*JobResult, error) {
-
-	return runMatrix(ctx, spec, update, func(ctx context.Context, cell JobSpec, d *designs.Design, scheme int, update func(Progress)) (*JobResult, error) {
-		cellID := fmt.Sprintf("%s/%s+s%d", jobID, cell.Design, scheme)
-		return runDistFaultSim(ctx, pool, cfg, opts, cellID, cell, update)
-	})
-}
-
-// runDistGaSearch runs the GA on the coordinator and fans each
-// generation's evaluations out to the fleet: every individual is its
-// own lease-pool registration under a derived job ID
-// ("<job>/g<gen>+i<idx>"), evaluated concurrently — a generation's
-// individuals are independent, so the fleet chews the whole cohort at
-// once while the GA itself stays strictly sequential and determinism
-// rests on fitness values, never on evaluation timing.
-func runDistGaSearch(ctx context.Context, pool *LeasePool, cfg ExecConfig, opts DistOptions,
-	jobID string, spec JobSpec, update func(Progress)) (*JobResult, error) {
-
-	d, err := GetDesign(spec.Design)
-	if err != nil {
-		return nil, err
-	}
-	return runGaSearch(ctx, d, spec, update, distGaEvaluator(pool, cfg, opts, jobID))
 }
 
 // RunWorkUnit executes one leased unit: the worker-side half of the
@@ -284,43 +179,18 @@ func RunWorkUnit(ctx context.Context, workerID string, u api.WorkUnit,
 	if u.FaultLo < 0 || u.FaultHi > len(faults) || u.FaultLo >= u.FaultHi {
 		return nil, fmt.Errorf("engine: unit %d of job %s has bad fault range [%d,%d)", u.Unit, u.JobID, u.FaultLo, u.FaultHi)
 	}
-	vecs, err := resolveVectors(d, u.Spec.Vectors)
-	if err != nil {
-		return nil, err
-	}
-	workers := u.Spec.Workers
-	if workers == 0 {
-		workers = cfg.Workers
-	}
-	total := vecs.Len()
 	start := time.Now()
-	res, err := Simulate(d.Netlist, vecs, SimOptions{
+	res, err := simulateFaults(ctx, d, u.Spec, SimOptions{
 		SimOptions: fault.SimOptions{
-			Faults:     faults[u.FaultLo:u.FaultHi],
-			NDetect:    specNDetect(u.Spec),
-			SegmentLen: u.Spec.SegmentLen,
-			Ctx:        ctx,
-			Sink:       obs.WithTrace(cfg.Sink, u.Spec.TraceID),
-			Progress: func(cycles, detected, remaining int) {
-				if progress != nil {
-					progress(api.Progress{
-						Done: cycles, Total: total,
-						Detected: detected, Remaining: remaining,
-						Coverage: safeRatio(detected, detected+remaining),
-					})
-				}
-			},
+			Faults: faults[u.FaultLo:u.FaultHi],
+			Sink:   obs.WithTrace(cfg.Sink, u.Spec.TraceID),
 		},
-		Workers:      workers,
+		Workers:      cfg.Workers,
 		ShadowSample: u.ShadowSample,
 		ShadowSeed:   u.ShadowSeed,
-		DesignHash:   d.Hash,
-	})
+	}, progress)
 	if err != nil {
 		return nil, err
-	}
-	if res.Interrupted {
-		return nil, fmt.Errorf("%w: %d/%d vectors applied", ErrInterrupted, res.Cycles, total)
 	}
 	out := api.NewUnitResult(workerID, res.DetectedAt, res.Detections, res.Cycles, time.Since(start).Seconds())
 	// Chaos point: a result corrupted after checksumming (bad NIC, bad

@@ -1,6 +1,6 @@
 // Package engine is the campaign layer above the single-threaded fault
 // simulator: a sharded multi-core fault simulation front-end, a bounded
-// job queue with panic recovery and JSON checkpoint/resume, and the job
+// job queue with panic recovery and journal-backed resume, and the job
 // executor behind the sbstd HTTP server.
 //
 // The sharding model exploits the independence of single-stuck-at

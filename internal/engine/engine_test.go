@@ -7,17 +7,21 @@ import (
 	"testing"
 
 	"repro/internal/bist"
+	"repro/internal/designs"
 	"repro/internal/dspgate"
 	"repro/internal/fault"
 )
 
+// testCore is the default campaign fixture, the serial oracle's
+// subject: the gate-level DSP core and its collapsed fault list, as the
+// design cache builds them.
 func testCore(t testing.TB) (*dspgate.Core, []fault.Fault) {
 	t.Helper()
-	core, faults, err := SharedCore()
+	d, err := GetDesign(designs.DefaultID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return core, faults
+	return d.Core, d.Faults
 }
 
 // shortFaults trims the fault list under -short: the race detector

@@ -9,7 +9,6 @@ import (
 	"repro/internal/bist"
 	"repro/internal/chaos"
 	"repro/internal/designs"
-	"repro/internal/dspgate"
 	"repro/internal/fault"
 	"repro/internal/isa"
 	"repro/internal/metrics"
@@ -33,19 +32,6 @@ var (
 	defProg     *selftest.Program
 )
 
-// SharedCore exposes the default campaign fixture: the gate-level DSP
-// core and its collapsed fault list. It is now a view over the design
-// cache — GetDesign(designs.DefaultID) — kept because the distributed
-// end-to-end tests and the bench use it as the serial oracle; new code
-// should resolve designs by ID through GetDesign instead.
-func SharedCore() (*dspgate.Core, []fault.Fault, error) {
-	d, err := GetDesign(designs.DefaultID)
-	if err != nil {
-		return nil, nil, err
-	}
-	return d.Core, d.Faults, nil
-}
-
 // specNDetect resolves a spec's effective n-detect target: zero for
 // plain campaigns, the spec's value (defaulted to the paper's n=5)
 // for n_detect campaigns. Coordinator and workers must share this
@@ -60,10 +46,26 @@ func specNDetect(spec JobSpec) int {
 	return spec.NDetect
 }
 
+// campaignSim runs one fault-sim campaign — a fault_sim or n_detect
+// spec on design d — and returns its per-fault result. id names the
+// campaign: the queue job ID, or a matrix cell or GA individual ID
+// derived from it. NewExecutor simulates in-process; NewDistExecutor
+// registers the campaign on the lease pool and waits for the fleet.
+// Every job kind built from fault-sim campaigns runs through one.
+type campaignSim func(ctx context.Context, id string, d *designs.Design, spec JobSpec, update func(Progress)) (*fault.Result, error)
+
 // NewExecutor returns the production Executor: it resolves the spec's
 // design through the registry cache and runs every job kind against
 // it, sharding fault simulation through Simulate.
 func NewExecutor(cfg ExecConfig) Executor {
+	return newExecutor(cfg, localSim(cfg), false)
+}
+
+// newExecutor dispatches a spec by kind. parallel lets a ga_search
+// evaluate a generation's individuals concurrently; it suits a sim
+// whose campaigns run elsewhere, not one that already spreads each
+// campaign over every local core.
+func newExecutor(cfg ExecConfig, sim campaignSim, parallel bool) Executor {
 	return func(ctx context.Context, spec JobSpec, update func(Progress)) (*JobResult, error) {
 		// Chaos point: an executor that crashes, stalls, or fails with a
 		// retryable environment error before the campaign starts.
@@ -74,14 +76,9 @@ func NewExecutor(cfg ExecConfig) Executor {
 				return nil, fmt.Errorf("%w: %v", ErrTransient, ierr)
 			}
 		}
+		id := campaignID(ctx)
 		if spec.Kind == JobCampaignMatrix {
-			return runMatrix(ctx, spec, update, func(ctx context.Context, cell JobSpec, d *designs.Design, _ int, update func(Progress)) (*JobResult, error) {
-				vecs, err := resolveVectors(d, cell.Vectors)
-				if err != nil {
-					return nil, err
-				}
-				return runFaultSim(ctx, cfg, d, cell, vecs, update)
-			})
+			return runMatrix(ctx, sim, id, spec, update)
 		}
 		d, err := GetDesign(spec.Design)
 		if err != nil {
@@ -89,23 +86,66 @@ func NewExecutor(cfg ExecConfig) Executor {
 		}
 		switch spec.Kind {
 		case JobFaultSim, JobNDetect:
-			vecs, err := resolveVectors(d, spec.Vectors)
-			if err != nil {
-				return nil, err
-			}
-			return runFaultSim(ctx, cfg, d, spec, vecs, update)
+			return runFaultSim(ctx, sim, id, d, spec, update)
 		case JobSeqATPG:
 			return runSeqATPG(ctx, cfg, d, spec, update)
 		case JobExperiment:
-			return runExperiment(ctx, cfg, d, spec, update)
+			return runExperiment(ctx, sim, id, d, spec, update)
 		case JobOnlineBurst:
 			return runOnlineBurst(ctx, d, spec, update)
 		case JobGaSearch:
-			return runGaSearch(ctx, d, spec, update, localGaEvaluator(cfg, d))
+			return runGaSearch(ctx, sim, parallel, id, d, spec, update)
 		default:
 			return nil, fmt.Errorf("engine: unknown job kind %q", spec.Kind)
 		}
 	}
+}
+
+// localSim simulates a campaign in-process, sharded across cfg.Workers
+// cores unless the spec sets its own count.
+func localSim(cfg ExecConfig) campaignSim {
+	return func(ctx context.Context, _ string, d *designs.Design, spec JobSpec, update func(Progress)) (*fault.Result, error) {
+		return simulateFaults(ctx, d, spec, SimOptions{
+			SimOptions: fault.SimOptions{Faults: d.Faults, Sink: cfg.Sink},
+			Workers:    cfg.Workers,
+		}, update)
+	}
+}
+
+// simulateFaults fault-simulates spec's stimulus on design d against
+// opts.Faults: the simulation behind both a local campaign and a
+// worker's unit. spec.Workers, when set, overrides opts.Workers; update
+// may be nil.
+func simulateFaults(ctx context.Context, d *designs.Design, spec JobSpec, opts SimOptions, update func(Progress)) (*fault.Result, error) {
+	vecs, err := resolveVectors(d, spec.Vectors)
+	if err != nil {
+		return nil, err
+	}
+	if spec.Workers != 0 {
+		opts.Workers = spec.Workers
+	}
+	total := vecs.Len()
+	opts.NDetect = specNDetect(spec)
+	opts.SegmentLen = spec.SegmentLen
+	opts.Ctx = ctx
+	opts.DesignHash = d.Hash
+	opts.Progress = func(cycles, detected, remaining int) {
+		if update != nil {
+			update(Progress{
+				Done: cycles, Total: total,
+				Detected: detected, Remaining: remaining,
+				Coverage: safeRatio(detected, detected+remaining),
+			})
+		}
+	}
+	res, err := Simulate(d.Netlist, vecs, opts)
+	if err != nil {
+		return nil, err
+	}
+	if res.Interrupted {
+		return nil, fmt.Errorf("%w: %d/%d vectors applied", ErrInterrupted, res.Cycles, total)
+	}
+	return res, nil
 }
 
 // resolveVectors expands a VectorSource into the stimulus stream for a
@@ -121,37 +161,24 @@ func resolveVectors(d *designs.Design, src VectorSource) (fault.Vectors, error) 
 			return bist.PseudorandomVectors(src.Count, uint64(src.Seed)), nil
 		}
 		return designs.PseudorandomVectors(len(d.Netlist.Inputs()), src.Count, uint64(src.Seed)), nil
-	case api.VecProgram:
+	case api.VecProgram, api.VecSelfTest:
 		if !d.InstructionDriven() {
-			return nil, fmt.Errorf("engine: design %s has no instruction port; program stimulus needs the dsp design", d.ID)
+			return nil, fmt.Errorf("engine: design %s has no instruction port; %s stimulus needs the dsp design", d.ID, src.Kind)
 		}
-		prog, err := isa.Assemble(src.Program)
-		if err != nil {
-			return nil, err
+		var prog *selftest.Program
+		if src.Kind == api.VecProgram {
+			loop, err := isa.Assemble(src.Program)
+			if err != nil {
+				return nil, err
+			}
+			prog = &selftest.Program{Loop: loop}
+		} else {
+			prog = generatedProgram(src)
 		}
-		iters := src.Iterations
-		if iters <= 0 {
-			iters = 1000
-		}
-		return selftest.Expand(&selftest.Program{Loop: prog},
-			selftest.ExpandOptions{
-				Iterations: iters, Seed1: uint64(src.Seed), Seed2: uint64(src.Seed2),
-				Taps1: src.Taps, ReseedEvery: src.ReseedEvery, Reseeds: src.Reseeds,
-			}), nil
-	case api.VecSelfTest:
-		if !d.InstructionDriven() {
-			return nil, fmt.Errorf("engine: design %s has no instruction port; selftest stimulus needs the dsp design", d.ID)
-		}
-		prog := generatedProgram(src)
-		iters := src.Iterations
-		if iters <= 0 {
-			iters = 1000
-		}
-		return selftest.Expand(prog,
-			selftest.ExpandOptions{
-				Iterations: iters, Seed1: uint64(src.Seed), Seed2: uint64(src.Seed2),
-				Taps1: src.Taps, ReseedEvery: src.ReseedEvery, Reseeds: src.Reseeds,
-			}), nil
+		return selftest.Expand(prog, selftest.ExpandOptions{
+			Iterations: orDefault(src.Iterations, 1000), Seed1: uint64(src.Seed), Seed2: uint64(src.Seed2),
+			Taps1: src.Taps, ReseedEvery: src.ReseedEvery, Reseeds: src.Reseeds,
+		}), nil
 	default:
 		return nil, fmt.Errorf("engine: unknown vector source %q", src.Kind)
 	}
@@ -168,49 +195,18 @@ func generatedProgram(src VectorSource) *selftest.Program {
 		})
 		return defProg
 	}
-	cfg := metrics.Config{CTrials: src.CTrials, OGoodRuns: src.OGoodRuns, Seed: 1}
-	if cfg.CTrials <= 0 {
-		cfg.CTrials = 8000
-	}
-	if cfg.OGoodRuns <= 0 {
-		cfg.OGoodRuns = 6
-	}
+	cfg := metrics.Config{CTrials: orDefault(src.CTrials, 8000), OGoodRuns: orDefault(src.OGoodRuns, 6), Seed: 1}
 	prog, _ := selftest.NewGenerator(metrics.NewEngine(cfg)).Generate()
 	return prog
 }
 
-func runFaultSim(ctx context.Context, cfg ExecConfig, d *designs.Design,
-	spec JobSpec, vecs fault.Vectors, update func(Progress)) (*JobResult, error) {
+// runFaultSim runs one fault-sim campaign and summarizes it.
+func runFaultSim(ctx context.Context, sim campaignSim, id string, d *designs.Design,
+	spec JobSpec, update func(Progress)) (*JobResult, error) {
 
-	ndet := specNDetect(spec)
-	workers := spec.Workers
-	if workers == 0 {
-		workers = cfg.Workers
-	}
-	total := vecs.Len()
-	res, err := Simulate(d.Netlist, vecs, SimOptions{
-		SimOptions: fault.SimOptions{
-			Faults:     d.Faults,
-			NDetect:    ndet,
-			SegmentLen: spec.SegmentLen,
-			Ctx:        ctx,
-			Sink:       cfg.Sink,
-			Progress: func(cycles, detected, remaining int) {
-				update(Progress{
-					Done: cycles, Total: total,
-					Detected: detected, Remaining: remaining,
-					Coverage: safeRatio(detected, detected+remaining),
-				})
-			},
-		},
-		Workers:    workers,
-		DesignHash: d.Hash,
-	})
+	res, err := sim(ctx, id, d, spec, update)
 	if err != nil {
 		return nil, err
-	}
-	if res.Interrupted {
-		return nil, fmt.Errorf("%w: %d/%d vectors applied", ErrInterrupted, res.Cycles, total)
 	}
 	jr := &JobResult{
 		Faults:   len(res.Faults),
@@ -218,7 +214,7 @@ func runFaultSim(ctx context.Context, cfg ExecConfig, d *designs.Design,
 		Cycles:   res.Cycles,
 		Coverage: res.Coverage(),
 	}
-	if ndet > 1 {
+	if ndet := specNDetect(spec); ndet > 1 {
 		jr.NDetect = ndet
 		jr.NDetectCoverage = res.NDetectCoverage(ndet)
 	}
@@ -228,21 +224,11 @@ func runFaultSim(ctx context.Context, cfg ExecConfig, d *designs.Design,
 func runSeqATPG(ctx context.Context, cfg ExecConfig, d *designs.Design,
 	spec JobSpec, update func(Progress)) (*JobResult, error) {
 
-	frames := spec.Frames
-	if frames <= 0 {
-		frames = 3
-	}
-	sample := spec.SampleEvery
-	if sample <= 0 {
-		sample = 40
-	}
-	backtracks := spec.MaxBacktracks
-	if backtracks <= 0 {
-		backtracks = 300
-	}
 	res, err := bist.SequentialATPGOpts(d.Netlist, bist.SeqATPGOptions{
-		Frames: frames, SampleEvery: sample, MaxBacktracks: backtracks,
-		Sink: cfg.Sink,
+		Frames:        orDefault(spec.Frames, 3),
+		SampleEvery:   orDefault(spec.SampleEvery, 40),
+		MaxBacktracks: orDefault(spec.MaxBacktracks, 300),
+		Sink:          cfg.Sink,
 		Progress: func(done, total int) {
 			update(Progress{Done: done, Total: total})
 			// The ATPG loop has no cancellation hook; a drain deadline
@@ -265,18 +251,17 @@ func runSeqATPG(ctx context.Context, cfg ExecConfig, d *designs.Design,
 }
 
 // runExperiment is the composite campaign behind the paper's headline
-// comparison: fault-simulate the requested stimulus and a raw-LFSR BIST
-// baseline of the same length, reporting both coverages side by side.
-func runExperiment(ctx context.Context, cfg ExecConfig, d *designs.Design,
+// comparison: fault-simulate the requested stimulus, then a raw-LFSR
+// BIST baseline of the same length, reporting both coverages side by
+// side. The baseline's vector count is the first campaign's cycle
+// count, so a coordinator never expands program or selftest stimuli
+// itself.
+func runExperiment(ctx context.Context, sim campaignSim, id string, d *designs.Design,
 	spec JobSpec, update func(Progress)) (*JobResult, error) {
 
-	vecs, err := resolveVectors(d, spec.Vectors)
-	if err != nil {
-		return nil, err
-	}
 	sub := spec
 	sub.Kind = JobFaultSim
-	main, err := runFaultSim(ctx, cfg, d, sub, vecs, update)
+	main, err := runFaultSim(ctx, sim, id, d, sub, update)
 	if err != nil {
 		return nil, err
 	}
@@ -285,12 +270,8 @@ func runExperiment(ctx context.Context, cfg ExecConfig, d *designs.Design,
 		seed = 1
 	}
 	base := sub
-	base.Vectors = VectorSource{Kind: api.VecBIST, Count: vecs.Len(), Seed: seed}
-	baselineVecs, err := resolveVectors(d, base.Vectors)
-	if err != nil {
-		return nil, err
-	}
-	baseline, err := runFaultSim(ctx, cfg, d, base, baselineVecs, update)
+	base.Vectors = VectorSource{Kind: api.VecBIST, Count: main.Cycles, Seed: seed}
+	baseline, err := runFaultSim(ctx, sim, id, d, base, update)
 	if err != nil {
 		return nil, err
 	}
@@ -306,11 +287,6 @@ func runExperiment(ctx context.Context, cfg ExecConfig, d *designs.Design,
 	}, nil
 }
 
-// cellRunner executes one matrix cell — a fault_sim campaign on one
-// design with one stimulus scheme. The local executor simulates
-// in-process; the coordinator registers the cell on the lease pool.
-type cellRunner func(ctx context.Context, cell JobSpec, d *designs.Design, scheme int, update func(Progress)) (*JobResult, error)
-
 // matrixCellScale is the per-cell width of a matrix job's progress
 // axis: cell i occupies [i*scale, (i+1)*scale) of Progress.Done, so a
 // dashboard sees smooth forward motion across cells of very different
@@ -319,11 +295,12 @@ const matrixCellScale = 1000
 
 // runMatrix fans spec.Matrix's designs × schemes cross product into
 // independent fault-sim campaigns (designs-major order), rolling the
-// per-cell results into the JobResult.Matrix table. Cells run through
-// the given runner sequentially; the distributed runner fans each cell
-// out over the worker fleet, so the fleet-level parallelism lives
-// inside the cells.
-func runMatrix(ctx context.Context, spec JobSpec, update func(Progress), run cellRunner) (*JobResult, error) {
+// per-cell results into the JobResult.Matrix table. Each cell runs
+// under a derived campaign ID ("<job>/<design>+s<scheme>"), one cell
+// at a time: on a fleet the parallelism lives inside each cell's work
+// units, and sequential cells keep every worker's design cache hot on
+// one design at a time.
+func runMatrix(ctx context.Context, sim campaignSim, jobID string, spec JobSpec, update func(Progress)) (*JobResult, error) {
 	m := spec.Matrix
 	if m == nil || len(m.Designs) == 0 || len(m.Schemes) == 0 {
 		return nil, fmt.Errorf("engine: campaign_matrix job needs matrix designs and schemes")
@@ -343,7 +320,8 @@ func runMatrix(ctx context.Context, spec JobSpec, update func(Progress), run cel
 			cell.Vectors = scheme
 			cell.Matrix = nil
 			base := ci * matrixCellScale
-			r, err := run(ctx, cell, d, si, func(p Progress) {
+			cellID := fmt.Sprintf("%s/%s+s%d", jobID, d.ID, si)
+			r, err := runFaultSim(ctx, sim, cellID, d, cell, func(p Progress) {
 				frac := 0
 				if p.Total > 0 {
 					frac = p.Done * matrixCellScale / p.Total

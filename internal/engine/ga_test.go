@@ -79,9 +79,9 @@ func TestGaSearchDeterminism(t *testing.T) {
 }
 
 // TestGaSearchResume: a ga_search interrupted mid-search by a hard
-// queue shutdown resumes — through journal replay plus checkpoint
-// adoption into a brand-new queue — and finishes bit-identically to an
-// uninterrupted run, without re-evaluating the journaled generations.
+// queue shutdown resumes — through recovery of the journal alone into a
+// brand-new queue — and finishes bit-identically to an uninterrupted
+// run, without re-evaluating the journaled generations.
 func TestGaSearchResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real fault-sim campaigns in -short mode")
@@ -90,7 +90,6 @@ func TestGaSearchResume(t *testing.T) {
 
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, "journal")
-	cpath := filepath.Join(dir, "checkpoint.json")
 
 	j1, recs, err := OpenJournal(jpath)
 	if err != nil {
@@ -101,7 +100,7 @@ func TestGaSearchResume(t *testing.T) {
 	}
 	q1 := NewQueue(QueueOptions{
 		Workers: 1, Exec: NewExecutor(ExecConfig{Workers: 2}),
-		Journal: j1, Checkpoint: cpath,
+		Journal: j1,
 	})
 	q1.Start()
 	job, err := q1.Submit(tinyGaSpec())
@@ -137,16 +136,17 @@ func TestGaSearchResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The restart: fresh journal replay + checkpoint into a new queue.
+	// The restart: the drain compacted the journal, so the generations
+	// come back from its snapshot frame.
 	j2, recs, err := OpenJournal(jpath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	q2 := NewQueue(QueueOptions{
 		Workers: 1, Exec: NewExecutor(ExecConfig{Workers: 2}),
-		Journal: j2, Checkpoint: cpath,
+		Journal: j2,
 	})
-	if err := q2.Recover(cpath, recs); err != nil {
+	if err := q2.Recover(recs); err != nil {
 		t.Fatal(err)
 	}
 	q2.mu.Lock()

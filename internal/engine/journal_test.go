@@ -125,9 +125,9 @@ func flipBit(frame []byte, i int) []byte {
 	return out
 }
 
-// TestJournalTruncate: Mark/Truncate drop exactly the covered prefix,
-// keep the tail byte-for-byte, and the journal stays appendable through
-// the file swap.
+// TestJournalTruncate: compaction replaces exactly the prefix below
+// the mark with the snapshot frame, keeps the tail byte-for-byte, and
+// the journal stays appendable through the file swap.
 func TestJournalTruncate(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.wal")
 	j, _, err := OpenJournal(path)
@@ -140,11 +140,12 @@ func TestJournalTruncate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	mark := j.Mark()
+	mark := j.mark()
 	if err := j.Append(JournalRecord{T: recState, JobID: "old", State: JobRunning, Attempts: 1}, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Truncate(mark); err != nil {
+	snap := JournalRecord{T: recSnapshot, NextID: 3, Jobs: []Job{{ID: "old", Spec: specN(3), State: JobQueued}}}
+	if err := j.compact(mark, &snap); err != nil {
 		t.Fatal(err)
 	}
 	// The swapped-in file descriptor still appends correctly.
@@ -159,23 +160,23 @@ func TestJournalTruncate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	if len(recs) != 2 || recs[0].T != recState || recs[1].T != recFinish {
-		t.Fatalf("post-truncate journal replays %+v, want the 2 tail records", recs)
+	if len(recs) != 3 || recs[0].T != recSnapshot || recs[1].T != recState || recs[2].T != recFinish {
+		t.Fatalf("compacted journal replays %+v, want the snapshot and the 2 tail records", recs)
 	}
 
-	// Truncating everything leaves an empty, working journal.
-	if err := j2.Truncate(j2.Mark()); err != nil {
+	// Compacting at the end leaves the snapshot alone, and a working
+	// journal.
+	if err := j2.compact(j2.mark(), &snap); err != nil {
 		t.Fatal(err)
 	}
-	if got := j2.Mark(); got != 0 {
-		t.Fatalf("fully truncated journal has %d logical bytes", got)
+	if got, want := j2.mark(), int64(len(mustFrames(t, snap))); got != want {
+		t.Fatalf("fully compacted journal has %d logical bytes, want the %d-byte snapshot", got, want)
 	}
 }
 
 // TestDecodeJournalPrefixStability is the replay contract in miniature:
 // re-decoding the good prefix reproduces exactly the same records, so a
-// crash between checkpoint and truncation (both files readable) cannot
-// diverge from a clean shutdown.
+// journal whose torn tail was truncated replays like one never torn.
 func TestDecodeJournalPrefixStability(t *testing.T) {
 	data := mustFrames(t,
 		JournalRecord{T: recSubmit, JobID: "a", Job: &Job{ID: "a", Spec: specN(1), State: JobQueued}},
@@ -192,7 +193,9 @@ func TestDecodeJournalPrefixStability(t *testing.T) {
 
 // FuzzReplayJournal: decodeJournal must never panic, never read past
 // the reported good offset, and always yield a stable prefix — whatever
-// bytes a crash, bit rot, or an adversarial writer left behind.
+// bytes a crash, bit rot, or an adversarial writer left behind — and
+// OpenJournal must salvage the previous generation whenever the live
+// file is not headed by a snapshot.
 func FuzzReplayJournal(f *testing.F) {
 	valid := mustFrames(f,
 		JournalRecord{T: recSubmit, JobID: "job-0001", Seq: 1, NextID: 1,
@@ -214,6 +217,23 @@ func FuzzReplayJournal(f *testing.F) {
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(bogus, castagnoli))
 	copy(frame[8:], bogus)
 	f.Add(append(append([]byte{}, valid...), frame...))
+	// A compacted journal: a snapshot frame heading the tail records,
+	// whole, torn inside the snapshot, and with a snapshot whose job
+	// table repeats an ID.
+	snap := mustFrames(f, JournalRecord{T: recSnapshot, NextID: 2, Jobs: []Job{
+		{ID: "job-0001", Spec: JobSpec{Kind: JobFaultSim, Vectors: VectorSource{Kind: "bist", Count: 64}}, State: JobCompleted,
+			Result: &JobResult{Coverage: 1}},
+		{ID: "job-0002", Spec: JobSpec{Kind: JobFaultSim, Vectors: VectorSource{Kind: "bist", Count: 32}}, State: JobRunning},
+	}, EventSeqs: map[string]int64{"job-0001": 4}, GaGens: map[string][]GaGenRecord{
+		"job-0002": {{Gen: 0, Coverage: []float64{0.5}, Cycles: []int{10}}},
+	}})
+	compacted := append(append([]byte{}, snap...), valid...)
+	f.Add(compacted)
+	f.Add(compacted[:len(snap)/2])
+	f.Add(flipBit(compacted, len(snap)/2))
+	f.Add(mustFrames(f, JournalRecord{T: recSnapshot, NextID: 1, Jobs: []Job{
+		{ID: "job-0001", State: JobQueued}, {ID: "job-0001", State: JobQueued},
+	}}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, good := decodeJournal(data)
@@ -247,6 +267,34 @@ func FuzzReplayJournal(f *testing.F) {
 		if fi, err := os.Stat(path); err != nil || fi.Size() != good {
 			t.Fatalf("truncated file is %d bytes (err %v), want %d", fi.Size(), err, good)
 		}
+
+		// Beside a valid previous generation the same bytes always open:
+		// a live file headed by a snapshot is replayed as is, anything
+		// else is left untouched and .prev salvaged.
+		live := filepath.Join(t.TempDir(), "fuzz.wal")
+		if err := os.WriteFile(live, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(prevPath(live), valid, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j2, recs4, err := OpenJournal(live)
+		if err != nil {
+			t.Fatalf("open beside a valid .prev: %v", err)
+		}
+		defer j2.Close()
+		if len(recs) > 0 && recs[0].T == recSnapshot {
+			if len(recs4) != len(recs) {
+				t.Fatalf("snapshot-headed journal replayed %d records, want %d", len(recs4), len(recs))
+			}
+			return
+		}
+		if len(recs4) != 2 || recs4[1].T != recFinish {
+			t.Fatalf("salvage replayed %+v, want the .prev generation", recs4)
+		}
+		if got, _ := os.ReadFile(live); !bytes.Equal(got, data) {
+			t.Fatal("salvage rewrote the live file")
+		}
 	})
 }
 
@@ -275,7 +323,7 @@ func recoverInto(t *testing.T, recs []JournalRecord) []Job {
 			return &JobResult{}, nil
 		},
 	})
-	if err := q.Recover("", recs); err != nil {
+	if err := q.Recover(recs); err != nil {
 		t.Fatal(err)
 	}
 	return q.Jobs()
@@ -306,38 +354,41 @@ func TestReplayIdempotence(t *testing.T) {
 	}
 }
 
-// TestRecoverCheckpointJournalOverlap is the crash window between a
-// durable checkpoint and its journal truncation: recovering from
-// checkpoint+full-journal must equal recovering from the journal alone.
+// TestRecoverCheckpointJournalOverlap is the compaction window: records
+// appended while a snapshot was being taken follow it in the compacted
+// journal even though the snapshot already covers some of them.
+// Recovering from that snapshot plus the overlapping records must equal
+// recovering from the plain journal.
 func TestRecoverCheckpointJournalOverlap(t *testing.T) {
 	recs := replayRecords()
-	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "ckpt.json")
 
-	// Build the checkpoint by recovering the prefix (through job-0001's
-	// finish) and checkpointing that queue — exactly the bytes a real
-	// Checkpoint() would have written before the crash.
-	q1 := NewQueue(QueueOptions{Checkpoint: ckpt,
+	// Build the snapshot by recovering the prefix (through job-0001's
+	// finish) and compacting that queue's journal — exactly the frame a
+	// real compaction would have written.
+	j1, _ := openJournal(t, filepath.Join(t.TempDir(), "journal.wal"))
+	q1 := NewQueue(QueueOptions{Journal: j1,
 		Exec: func(ctx context.Context, spec JobSpec, update func(Progress)) (*JobResult, error) {
 			return &JobResult{}, nil
 		}})
-	if err := q1.Recover("", recs[:5]); err != nil {
+	if err := q1.Recover(recs[:5]); err != nil {
 		t.Fatal(err)
 	}
 	if err := q1.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-
-	q2 := NewQueue(QueueOptions{
-		Exec: func(ctx context.Context, spec JobSpec, update func(Progress)) (*JobResult, error) {
-			return &JobResult{}, nil
-		}})
-	if err := q2.Recover(ckpt, recs); err != nil {
+	data, err := os.ReadFile(j1.Path())
+	if err != nil {
 		t.Fatal(err)
 	}
+	snap, _ := decodeJournal(data)
+	if len(snap) != 1 || snap[0].T != recSnapshot {
+		t.Fatalf("compaction wrote %+v, want one snapshot record", snap)
+	}
+
+	got := recoverInto(t, append(snap, recs...))
 	want := recoverInto(t, recs)
-	if got := q2.Jobs(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("checkpoint+journal overlap diverged from journal-only:\ngot  %+v\nwant %+v", got, want)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("snapshot+journal overlap diverged from journal-only:\ngot  %+v\nwant %+v", got, want)
 	}
 }
 
@@ -352,7 +403,7 @@ func TestRecoverSeedsEventRing(t *testing.T) {
 		Exec: func(ctx context.Context, spec JobSpec, update func(Progress)) (*JobResult, error) {
 			return &JobResult{}, nil
 		}})
-	if err := q.Recover("", recs); err != nil {
+	if err := q.Recover(recs); err != nil {
 		t.Fatal(err)
 	}
 	replay, _, cancel := events.Subscribe("job-0001", 2)
@@ -416,7 +467,7 @@ func TestSubmitIdempotency(t *testing.T) {
 	recs := []JournalRecord{{T: recSubmit, JobID: "job-0001", Seq: 1, NextID: 1,
 		Job: &Job{ID: "job-0001", Spec: spec, State: JobQueued, Created: at}}}
 	q2 := NewQueue(QueueOptions{Exec: exec})
-	if err := q2.Recover("", recs); err != nil {
+	if err := q2.Recover(recs); err != nil {
 		t.Fatal(err)
 	}
 	again, err := q2.Submit(spec)
@@ -450,10 +501,22 @@ func TestQueueJournalsLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, q, job.ID, JobCompleted)
-	if err := q.Drain(context.Background()); err != nil {
-		t.Fatal(err)
+	// Close the journal once the synced finish record is on disk: the
+	// drain after it must not compact the lifecycle away.
+	for {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if recs, _ := decodeJournal(data); len(recs) > 0 && recs[len(recs)-1].T == recFinish {
+			break
+		}
+		time.Sleep(time.Millisecond)
 	}
 	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -472,7 +535,7 @@ func TestQueueJournalsLifecycle(t *testing.T) {
 	q2 := NewQueue(QueueOptions{Exec: func(ctx context.Context, spec JobSpec, update func(Progress)) (*JobResult, error) {
 		return &JobResult{}, nil
 	}})
-	if err := q2.Recover("", recs); err != nil {
+	if err := q2.Recover(recs); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := q2.Get(job.ID)
@@ -481,18 +544,13 @@ func TestQueueJournalsLifecycle(t *testing.T) {
 	}
 }
 
-// TestJournalCheckpointTruncates: a successful checkpoint shrinks the
-// journal to just the records appended after the checkpoint's mark.
+// TestJournalCheckpointTruncates: compaction shrinks the journal to a
+// snapshot frame plus the records appended after its mark, and that
+// snapshot alone reconstructs the finished job.
 func TestJournalCheckpointTruncates(t *testing.T) {
-	dir := t.TempDir()
-	jpath := filepath.Join(dir, "journal.wal")
-	cpath := filepath.Join(dir, "ckpt.json")
-	j, _, err := OpenJournal(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	q := NewQueue(QueueOptions{Workers: 1, Journal: j, Checkpoint: cpath,
+	jpath := filepath.Join(t.TempDir(), "journal.wal")
+	j, _ := openJournal(t, jpath)
+	q := NewQueue(QueueOptions{Workers: 1, Journal: j,
 		Exec: func(ctx context.Context, spec JobSpec, update func(Progress)) (*JobResult, error) {
 			return &JobResult{Coverage: 1}, nil
 		}})
@@ -505,24 +563,15 @@ func TestJournalCheckpointTruncates(t *testing.T) {
 	if err := q.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if got := j.Mark(); got != 0 {
-		t.Fatalf("journal holds %d bytes after checkpoint, want 0", got)
-	}
 	data, err := os.ReadFile(jpath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(data, nil) && len(data) != 0 {
-		t.Fatalf("journal file holds %d bytes after checkpoint", len(data))
+	recs, good := decodeJournal(data)
+	if len(recs) != 1 || recs[0].T != recSnapshot || good != int64(len(data)) || j.mark() != good {
+		t.Fatalf("journal holds %d bytes, %d records (%+v) after compaction, want just the snapshot", len(data), len(recs), recs)
 	}
-	// And the checkpoint alone reconstructs the finished job.
-	q2 := NewQueue(QueueOptions{Exec: func(ctx context.Context, spec JobSpec, update func(Progress)) (*JobResult, error) {
-		return &JobResult{}, nil
-	}})
-	if err := q2.Recover(cpath, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := q2.Get(job.ID); !ok || got.State != JobCompleted {
-		t.Fatalf("checkpoint-only recovery got %+v", got)
+	if got := recoverInto(t, recs); len(got) != 1 || got[0].State != JobCompleted {
+		t.Fatalf("snapshot-only recovery got %+v", got)
 	}
 }

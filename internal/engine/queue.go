@@ -24,7 +24,7 @@ var (
 	ErrDraining = errors.New("engine: queue draining")
 	// ErrInterrupted is returned by executors whose campaign was cut
 	// short by queue shutdown; the job goes back to queued so a
-	// checkpoint restore re-runs it.
+	// journal recovery re-runs it.
 	ErrInterrupted = errors.New("engine: job interrupted by shutdown")
 	// ErrTransient marks executor failures worth retrying (flaky
 	// environment, injected chaos). Wrap it — the queue classifies with
@@ -72,9 +72,6 @@ type QueueOptions struct {
 	MaxAttempts int
 	// Exec runs jobs; required.
 	Exec Executor
-	// Checkpoint, when non-empty, is the JSON state file written after
-	// every terminal job transition and on drain.
-	Checkpoint string
 	// Sink receives queue lifecycle events (job state transitions).
 	Sink obs.Sink
 
@@ -99,9 +96,9 @@ type QueueOptions struct {
 	StuckTimeout time.Duration
 
 	// DistState, when set, resolves a job's distributed execution
-	// snapshot (work-unit layout, completions, attempt counts) for
-	// checkpoints and the HTTP surface. Wire it to LeasePool.SnapshotJob
-	// when the queue runs a distributed executor.
+	// snapshot (work-unit layout, completions, attempt counts) for the
+	// HTTP surface. Wire it to LeasePool.SnapshotJob when the queue
+	// runs a distributed executor.
 	DistState func(jobID string) *api.DistState
 
 	// Events, when set, receives the job event stream served over SSE:
@@ -109,9 +106,10 @@ type QueueOptions struct {
 	// result frame. Share one broker with the lease pool and server.
 	Events *JobEventBroker
 
-	// Journal, when set, receives a write-ahead record for every state
-	// transition (submits and terminal transitions fsynced inline, the
-	// rest group-committed). Open it with OpenJournal and feed the
+	// Journal, when set, is the queue's durable state: it receives a
+	// write-ahead record for every state transition (submits and
+	// terminal transitions fsynced inline, the rest group-committed) and
+	// is compacted by Checkpoint. Open it with OpenJournal and feed the
 	// replayed records to Recover before Start.
 	Journal *Journal
 
@@ -137,7 +135,7 @@ func (rj *runningJob) touch() { rj.lastProgress.Store(time.Now().UnixNano()) }
 // Queue is a bounded in-process job queue with a worker pool, graceful
 // degradation guardrails (exponential-backoff retries, per-job
 // deadlines, a consecutive-failure circuit breaker, a stuck-job
-// watchdog) and JSON checkpoint/resume. All exported methods are safe
+// watchdog) and journal-backed resume. All exported methods are safe
 // for concurrent use.
 type Queue struct {
 	opts QueueOptions
@@ -156,9 +154,12 @@ type Queue struct {
 	// gaGens holds each running ga_search job's journaled generation
 	// records, replayed into the executor on (re)start so a search
 	// resumes from its last completed generation. Populated by
-	// recordGaGen and by recovery (journal replay + checkpoint GaGens);
+	// recordGaGen and by recovery (snapshot GaGens + journal replay);
 	// cleared on the job's terminal transition.
 	gaGens map[string][]GaGenRecord
+
+	// compactMu serializes Checkpoint's journal compactions.
+	compactMu sync.Mutex
 
 	failStreak  int       // consecutive terminal failures, guarded by mu
 	breakerOpen time.Time // workers pause until this instant, guarded by mu
@@ -174,7 +175,7 @@ type Queue struct {
 	jobCancel context.CancelFunc
 }
 
-// NewQueue builds a queue; call Start (after an optional Restore) to
+// NewQueue builds a queue; call Start (after an optional Recover) to
 // launch the worker pool.
 func NewQueue(opts QueueOptions) *Queue {
 	if opts.Workers <= 0 {
@@ -318,7 +319,7 @@ func (q *Queue) indexSubmitIDLocked(j *Job) {
 
 // journal appends a write-ahead record, counting (not propagating)
 // failures: journal trouble must not fail the queue's hot path, it
-// only narrows the recovery window back to the last checkpoint.
+// only narrows the recovery window back to the last durable record.
 func (q *Queue) journal(rec JournalRecord, sync bool) {
 	if q.opts.Journal == nil {
 		return
@@ -332,7 +333,7 @@ func (q *Queue) journal(rec JournalRecord, sync bool) {
 }
 
 // recordGaGen durably records one completed ga_search generation: the
-// in-memory mirror first (so a checkpoint taken between the two always
+// in-memory mirror first (so a snapshot taken between the two always
 // covers what the journal is about to say), then a synced journal
 // append — the generation a client saw progress past must survive any
 // crash from here on. Only contiguous generations are accepted; a
@@ -442,10 +443,11 @@ func (q *Queue) Draining() bool {
 }
 
 // Drain stops accepting submissions, lets running jobs finish, then
-// writes a final checkpoint. If ctx expires first, running jobs are
+// compacts the journal. If ctx expires first, running jobs are
 // cancelled (they stop at the next segment boundary and return to the
-// queued state) and the checkpoint still captures them for resume. Jobs
-// sitting out a retry backoff stay queued and are likewise captured.
+// queued state) and the final snapshot still captures them for resume.
+// Jobs sitting out a retry backoff stay queued and are likewise
+// captured.
 func (q *Queue) Drain(ctx context.Context) error {
 	q.mu.Lock()
 	if !q.draining {
@@ -481,7 +483,7 @@ func (q *Queue) worker() {
 	defer q.wg.Done()
 	for {
 		// Drain takes priority over pending work: queued jobs stay
-		// queued (and checkpointed) rather than starting mid-shutdown.
+		// queued (and journaled) rather than starting mid-shutdown.
 		select {
 		case <-q.stop:
 			return
@@ -493,7 +495,7 @@ func (q *Queue) worker() {
 		case id := <-q.work:
 			if !q.breakerWait() {
 				// Stopped while the breaker was open; the job is still
-				// JobQueued and the final checkpoint captures it.
+				// JobQueued and the final snapshot captures it.
 				return
 			}
 			q.run(id)
@@ -631,7 +633,7 @@ func (q *Queue) run(id string) {
 		q.failStreak = 0
 	case q.jobCtx.Err() != nil:
 		// Shutdown cut the campaign short: keep the job queued so a
-		// checkpoint restore re-runs it, and give the attempt back.
+		// journal recovery re-runs it, and give the attempt back.
 		j.State = JobQueued
 		j.Attempts--
 		j.Error = err.Error()
@@ -690,19 +692,17 @@ func (q *Queue) run(id string) {
 			Attempts: snap.Attempts, Error: snap.Error,
 		}, false)
 	}
-	if snap.State == JobCompleted || snap.State == JobFailed {
-		if q.opts.Checkpoint != "" {
-			if cerr := q.Checkpoint(); cerr != nil {
-				ctrCheckpointErrors.Add(1)
-				obs.Emit(q.opts.Sink, obs.Event{
-					Type: obs.EventPhase,
-					Name: "queue/" + snap.ID,
-					Fields: map[string]any{
-						"event": "checkpoint_error",
-						"error": cerr.Error(),
-					},
-				})
-			}
+	if (snap.State == JobCompleted || snap.State == JobFailed) && q.opts.Journal.compactDue() {
+		if cerr := q.Checkpoint(); cerr != nil {
+			ctrCheckpointErrors.Add(1)
+			obs.Emit(q.opts.Sink, obs.Event{
+				Type: obs.EventPhase,
+				Name: "queue/" + snap.ID,
+				Fields: map[string]any{
+					"event": "checkpoint_error",
+					"error": cerr.Error(),
+				},
+			})
 		}
 	}
 }

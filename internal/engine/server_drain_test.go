@@ -15,16 +15,17 @@ import (
 
 // TestServerDrainUnderLoad hammers POST /jobs from many goroutines
 // while the queue drains mid-flight. The invariant: every job the
-// server accepted (202) appears in the final checkpoint exactly once —
-// no accepted job is lost, none is duplicated — and a restore sees the
+// server accepted (202) appears in the final snapshot exactly once —
+// no accepted job is lost, none is duplicated — and a recovery sees the
 // same set.
 func TestServerDrainUnderLoad(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "ckpt.json")
+	jpath := filepath.Join(t.TempDir(), "journal.wal")
+	journal, _ := openJournal(t, jpath)
 	exec := func(ctx context.Context, spec JobSpec, update func(Progress)) (*JobResult, error) {
 		time.Sleep(time.Millisecond) // keep a few jobs in flight during drain
 		return &JobResult{Coverage: 1}, nil
 	}
-	q := NewQueue(QueueOptions{Workers: 2, MaxPending: 256, Checkpoint: ckpt, Exec: exec})
+	q := NewQueue(QueueOptions{Workers: 2, MaxPending: 256, Journal: journal, Exec: exec})
 	q.Start()
 	srv := httptest.NewServer(NewServerWith(q, ServerOptions{MaxInflight: 64}))
 	defer srv.Close()
@@ -88,9 +89,13 @@ func TestServerDrainUnderLoad(t *testing.T) {
 		t.Fatal("no job was accepted before the drain; test proves nothing")
 	}
 
-	// The final checkpoint must hold exactly the accepted set.
+	// The final snapshot must hold exactly the accepted set.
+	if err := journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, recs := openJournal(t, jpath)
 	q2 := NewQueue(QueueOptions{Exec: exec})
-	if err := q2.Restore(ckpt); err != nil {
+	if err := q2.Recover(recs); err != nil {
 		t.Fatal(err)
 	}
 	seen := make(map[string]int)
@@ -99,12 +104,12 @@ func TestServerDrainUnderLoad(t *testing.T) {
 	}
 	for id := range accepted {
 		if seen[id] != 1 {
-			t.Errorf("accepted job %s appears %d times in checkpoint, want 1", id, seen[id])
+			t.Errorf("accepted job %s appears %d times in the snapshot, want 1", id, seen[id])
 		}
 	}
 	for id, n := range seen {
 		if !accepted[id] {
-			t.Errorf("checkpoint holds job %s (%d times) that no client saw accepted", id, n)
+			t.Errorf("snapshot holds job %s (%d times) that no client saw accepted", id, n)
 		}
 	}
 }

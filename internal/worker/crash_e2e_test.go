@@ -44,7 +44,7 @@ func freePort(t *testing.T) int {
 }
 
 // TestCoordinatorCrashRecoveryE2E is the kill -9 acceptance run: a real
-// sbstd process (distributed mode, journal + checkpoint) takes a
+// sbstd process (distributed mode, journaled) takes a
 // campaign_matrix job, gets SIGKILLed while a matrix cell is mid-lease,
 // and is restarted on the same state directory. The restarted
 // coordinator must (a) serve the same job for a retried submit_id, (b)
@@ -78,7 +78,6 @@ func TestCoordinatorCrashRecoveryE2E(t *testing.T) {
 			"-lease-ttl", "2s",
 			"-queue-workers", "1",
 			"-journal", filepath.Join(dir, "journal.wal"),
-			"-checkpoint", filepath.Join(dir, "ckpt.json"),
 		)
 		cmd.Stdout, cmd.Stderr = logf, logf
 		if err := cmd.Start(); err != nil {

@@ -168,7 +168,7 @@ func gaGenerationsMetric(baseURL string) int {
 }
 
 // TestGaCrashRecoveryE2E is the kill -9 half of the GA determinism
-// pin: a real sbstd coordinator (journal + checkpoint) is SIGKILLed
+// pin: a real sbstd coordinator (journaled) is SIGKILLed
 // after at least one generation is durably journaled but before the
 // search finishes, then restarted on the same state directory. The
 // resumed search must replay the journaled generations instead of
@@ -213,7 +213,6 @@ func TestGaCrashRecoveryE2E(t *testing.T) {
 			"-lease-ttl", "2s",
 			"-queue-workers", "1",
 			"-journal", filepath.Join(dir, "journal.wal"),
-			"-checkpoint", filepath.Join(dir, "ckpt.json"),
 		)
 		cmd.Stdout, cmd.Stderr = logf, logf
 		if err := cmd.Start(); err != nil {

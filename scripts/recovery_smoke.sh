@@ -2,7 +2,7 @@
 # recovery_smoke.sh — kill -9 crash-recovery smoke for sbstd.
 #
 # Starts a journaled coordinator, submits a matrix campaign, SIGKILLs
-# the process mid-run (no drain, no final checkpoint), restarts it on
+# the process mid-run (no drain, no final compaction), restarts it on
 # the same state directory, and asserts:
 #
 #   * the write-ahead journal captured the in-flight campaign (the file
@@ -37,7 +37,7 @@ SPEC='{"kind":"campaign_matrix","submit_id":"smoke/recovery-1","matrix":{
 
 start_coordinator() {
 	"$DIR/sbstd" -addr "127.0.0.1:$PORT" -queue-workers 1 \
-		-journal "$DIR/$1/journal.wal" -checkpoint "$DIR/$1/ckpt.json" \
+		-journal "$DIR/$1/journal.wal" \
 		>>"$DIR/$1.log" 2>&1 &
 	SBSTD_PID=$!
 	for i in $(seq 1 100); do
